@@ -115,9 +115,10 @@ let compile spec (calls : (Ast.call * int) array) =
 (* Compilation is memoized per (spec, table) the way Synth memoizes
    validated specs: every campaign over the same personality shares one
    artifact. The key covers the table's entry names because the call
-   array is the spec filtered through the table. The artifact is
-   read-only after construction, so sharing across domains is sound;
-   the mutex covers racing builds. *)
+   array is the spec filtered through the table. The memo is global
+   state in a library an embedder may call from several domains: the
+   artifact is read-only after construction, so sharing it is sound,
+   and the mutex covers racing builds. *)
 let compiled_lock = Stdlib.Mutex.create ()
 
 let compiled_memo : (string, compiled) Hashtbl.t = Hashtbl.create 8

@@ -24,8 +24,7 @@ let time_to_coverage ~target (o : Farm.outcome) =
       if s.Farm.coverage >= target then Some s.Farm.virtual_s else None)
     o.Farm.sync_series
 
-let run ?(backend = Farm.Domains) ?(board_counts = [ 1; 2; 4; 8 ]) ?iterations
-    ?(sync_every = 25) ?(seed = 11L) () =
+let run ?(board_counts = [ 1; 2; 4; 8 ]) ?iterations ?(sync_every = 25) ?(seed = 11L) () =
   let iterations =
     match iterations with Some i -> i | None -> Runner.scaled 1200
   in
@@ -36,12 +35,7 @@ let run ?(backend = Farm.Domains) ?(board_counts = [ 1; 2; 4; 8 ]) ?iterations
       List.filter_map
         (fun boards ->
           let config =
-            {
-              Farm.boards;
-              sync_every;
-              backend = (if boards = 1 then Farm.Cooperative else backend);
-              base = { Campaign.default_config with seed; iterations };
-            }
+            { Farm.boards; sync_every; base = { Campaign.default_config with seed; iterations } }
           in
           match Farm.run config (fun _board -> Targets.build_hw target) with
           | Ok o -> Some (boards, o)
@@ -103,10 +97,10 @@ let render points =
       [
         "Boards";
         "Payloads";
-        "Farm clock (s)";
-        "Payloads/s";
+        "Farm clock (virtual s)";
+        "Payloads/s (virtual)";
         "Speedup";
-        "Time-to-60%cov (s)";
+        "Time-to-60%cov (virtual s)";
         "Coverage";
         "Crashes";
       ]

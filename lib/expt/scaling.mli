@@ -6,16 +6,15 @@
     regardless of the host, so this is the quantity a real board farm
     scales — the single-probe round-trip budget that PR 2's batching
     attacked is here multiplied by the number of probes. Host wall time
-    is also recorded; with the {!Eof_core.Farm.Domains} backend it
-    additionally reflects host-side parallelism when cores are
-    available. *)
+    is also recorded, but every board shares one host thread, so it
+    tracks the total budget and does not shrink with more boards. *)
 
 type point = {
   boards : int;
   payloads : int;  (** programs actually executed *)
   coverage : int;  (** global distinct edges *)
   virtual_s : float;  (** farm clock at campaign end *)
-  wall_s : float;  (** host wall clock *)
+  wall_s : float;  (** host wall clock; the only field that varies between runs *)
   throughput : float;  (** payloads per farm-clock second *)
   speedup : float;  (** throughput relative to the boards=1 point *)
   time_to_cov : float option;
@@ -26,7 +25,6 @@ type point = {
 }
 
 val run :
-  ?backend:Eof_core.Farm.backend ->
   ?board_counts:int list ->
   ?iterations:int ->
   ?sync_every:int ->
@@ -36,10 +34,9 @@ val run :
 (** Runs the Zephyr/STM32F4 campaign once per board count (default
     [1;2;4;8], total budget [iterations] each, default
     [Runner.scaled 1200], seed 11) and returns one point per count, in
-    the given order. The boards=1 point always uses the cooperative
-    backend (it {e is} the plain campaign); multi-board points use
-    [backend] (default {!Eof_core.Farm.Domains}). The boards=1 point
-    anchors [speedup] and the coverage target. *)
+    the given order. Every point is deterministic apart from [wall_s].
+    The boards=1 point (the plain campaign) anchors [speedup] and the
+    coverage target. *)
 
 val render : point list -> string
 (** An aligned text table of the scaling curve. *)

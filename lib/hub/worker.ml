@@ -87,14 +87,7 @@ let assign t (a : Shard.assignment) =
       gen_mode = a.Shard.gen_mode;
     }
   in
-  let config =
-    {
-      Farm.boards = a.Shard.boards;
-      sync_every = a.Shard.sync_every;
-      backend = Farm.Cooperative;
-      base;
-    }
-  in
+  let config = { Farm.boards = a.Shard.boards; sync_every = a.Shard.sync_every; base } in
   let farm =
     match Farm.init ~obs:(Obs.for_tenant t.obs a.Shard.tenant) config target.mk_build with
     | Ok farm -> farm

@@ -63,7 +63,7 @@ let compute_manifest t =
    image identity so N boards pay the walk once. Keyed by physical
    equality — the blobs are immutable strings, so an [==]-equal image
    always has the same manifest. The mutex covers recovery-ladder
-   verifies racing from farm domains. *)
+   verifies an embedder may race from multiple domains. *)
 let manifest_lock = Mutex.create ()
 
 let manifest_memo : (t * (string * int32) list) list ref = ref []

@@ -173,9 +173,9 @@ type sink = {
 }
 
 (* The shared half of a bus: every handle derived with {!for_board}
-   points at the same sinks and counters. The lock only matters under
-   the farm's Domains backend, where several boards may emit
-   concurrently; the cooperative/single-board paths never contend. *)
+   points at the same sinks and counters. The repo's own drivers emit
+   from one thread and never contend; the lock keeps dispatch safe for
+   an embedder that shares one bus between its own domains or threads. *)
 type core = {
   mutable sinks : sink list;
   mutable active : bool;

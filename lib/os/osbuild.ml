@@ -84,7 +84,7 @@ let round_up n quantum = (n + quantum - 1) / quantum * quantum
    the (hundreds-of-KB pseudo-random) synthesis once, not once per board.
    [Image.t] is immutable and [Board.install] copies it into per-board
    flash, so sharing one value across boards is sound; the mutex covers
-   fleet builds racing from multiple domains. *)
+   fleet builds an embedder may race from multiple domains. *)
 let image_memo_lock = Stdlib.Mutex.create ()
 
 let image_memo : (string * string * int * int * int, Image.t) Hashtbl.t =

@@ -31,7 +31,7 @@ let syzlang_of_api table = Ast.to_syzlang (of_api table)
    distinct personality instead of once per init. Keying on the text —
    not the table — is what makes the cache safe: any table change
    changes the text. The result [Ast.t] is immutable, so sharing one
-   value across campaigns is sound; the mutex covers farm builds that
+   value across campaigns is sound; the mutex covers builds an embedder
    may race from multiple domains. *)
 (* [Stdlib.Mutex], not the RTOS personality's kernel object of the same
    name brought in by [open Eof_rtos]. *)

@@ -98,6 +98,16 @@ let test_overhead_memory_static () =
     (fun os -> Alcotest.(check bool) os true (contains ~needle:os text))
     [ "NuttX"; "RT-Thread"; "Zephyr"; "FreeRTOS" ]
 
+let test_scaling_deterministic () =
+  let run () =
+    List.map
+      (fun (p : Eof_expt.Scaling.point) -> { p with Eof_expt.Scaling.wall_s = 0. })
+      (Eof_expt.Scaling.run ~board_counts:[ 1; 2 ] ~iterations:200 ())
+  in
+  let a = run () in
+  Alcotest.(check int) "one point per board count" 2 (List.length a);
+  Alcotest.(check bool) "equal points apart from wall time" true (a = run ())
+
 let suite =
   [
     Alcotest.test_case "bug catalog shape" `Quick test_catalog_shape;
@@ -107,4 +117,5 @@ let suite =
     Alcotest.test_case "fig value_at" `Quick test_fig_render_value_at;
     Alcotest.test_case "fig render output" `Quick test_fig_render_output;
     Alcotest.test_case "overhead memory table" `Quick test_overhead_memory_static;
+    Alcotest.test_case "scaling deterministic" `Quick test_scaling_deterministic;
   ]

@@ -62,7 +62,7 @@ let test_one_board_farm_equals_campaign () =
   Alcotest.(check bool) "virtual clock" true
     (solo.Campaign.virtual_s = farm.Farm.virtual_s)
 
-(* --- cooperative backend determinism ------------------------------------ *)
+(* --- scheduler determinism ------------------------------------------------ *)
 
 let farm_digest (o : Farm.outcome) =
   ( Bitset.to_list o.Farm.coverage_bitmap,
@@ -80,8 +80,7 @@ let test_cooperative_deterministic () =
   let run () =
     let config =
       {
-        Farm.default_config with
-        boards = 3;
+        Farm.boards = 3;
         sync_every = 20;
         base = { Campaign.default_config with iterations = 180; seed = 9L };
       }
@@ -101,8 +100,7 @@ let test_cooperative_deterministic () =
 let test_global_state_is_a_union () =
   let config =
     {
-      Farm.default_config with
-      boards = 4;
+      Farm.boards = 4;
       sync_every = 15;
       base = { Campaign.default_config with iterations = 400; seed = 5L };
     }
@@ -138,37 +136,16 @@ let test_global_state_is_a_union () =
       (Array.for_all
          (fun (b : Campaign.outcome) -> b.Campaign.iterations_done = 100)
          o.Farm.per_board);
-    Alcotest.(check bool) "syncs happened" true (o.Farm.syncs > 1)
-
-(* --- the Domain backend ------------------------------------------------- *)
-
-let test_domains_backend_smoke () =
-  let config =
-    {
-      Farm.boards = 2;
-      sync_every = 10;
-      backend = Farm.Domains;
-      base = { Campaign.default_config with iterations = 80; seed = 3L };
-    }
-  in
-  match Farm.run config mk_build with
-  | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
-  | Ok o ->
-    Alcotest.(check int) "budget spent" 80 o.Farm.iterations_done;
-    Alcotest.(check bool) "coverage found" true (o.Farm.coverage > 0);
-    Alcotest.(check bool) "programs executed" true (o.Farm.executed_programs > 0);
-    Alcotest.(check int) "both boards ran" 2 (Array.length o.Farm.per_board);
-    Array.iter
-      (fun (b : Campaign.outcome) ->
-        Alcotest.(check int) "per-board budget" 40 b.Campaign.iterations_done)
-      o.Farm.per_board;
+    Alcotest.(check bool) "syncs happened" true (o.Farm.syncs > 1);
     (* The farm clock is the slowest board, not the sum: parallel boards
        make the campaign faster than the same budget on one board. *)
-    let sum =
-      Array.fold_left (fun a (b : Campaign.outcome) -> a +. b.Campaign.virtual_s) 0.
-        o.Farm.per_board
+    let clocks =
+      Array.map (fun (b : Campaign.outcome) -> b.Campaign.virtual_s) o.Farm.per_board
     in
-    Alcotest.(check bool) "parallel virtual clock" true (o.Farm.virtual_s < sum)
+    Alcotest.(check bool) "farm clock below the sum of board clocks" true
+      (o.Farm.virtual_s < Array.fold_left ( +. ) 0. clocks);
+    Alcotest.(check bool) "farm clock is the slowest board" true
+      (o.Farm.virtual_s = Array.fold_left Float.max 0. clocks)
 
 let test_farm_rejects_bad_config () =
   (match Farm.run { Farm.default_config with boards = 0 } mk_build with
@@ -195,8 +172,7 @@ let test_cooperative_trace_deterministic () =
            Buffer.add_char buf '\n'));
     let config =
       {
-        Farm.default_config with
-        boards = 2;
+        Farm.boards = 2;
         sync_every = 15;
         base = { Campaign.default_config with iterations = 90; seed = 13L };
       }
@@ -222,8 +198,7 @@ let test_farm_obs_does_not_perturb () =
   (* Full event capture must not change the farm's outcome. *)
   let config =
     {
-      Farm.default_config with
-      boards = 2;
+      Farm.boards = 2;
       sync_every = 15;
       base = { Campaign.default_config with iterations = 90; seed = 13L };
     }
@@ -250,7 +225,6 @@ let suite =
     Alcotest.test_case "cooperative backend deterministic" `Quick
       test_cooperative_deterministic;
     Alcotest.test_case "global state is a union" `Quick test_global_state_is_a_union;
-    Alcotest.test_case "domain backend smoke" `Quick test_domains_backend_smoke;
     Alcotest.test_case "bad farm config rejected" `Quick test_farm_rejects_bad_config;
     Alcotest.test_case "cooperative trace deterministic" `Quick
       test_cooperative_trace_deterministic;
