@@ -22,6 +22,11 @@ type t = {
   clock : Clock.t;
   mutable table : Partition.t;
   mutable manifest : (string * int32) list;
+  (* Memoized integrity verdict, keyed on the flash's write counter:
+     the corrupted-partition list is a pure function of the flash bytes,
+     the table and the manifest, and the latter two change only in
+     [install] and [reflash_partition], which drop it. *)
+  mutable verdict : (int * string list) option;
   mutable power_cycles : int;
 }
 
@@ -38,6 +43,7 @@ let create profile =
     clock = Clock.create ~mhz:profile.cpu_mhz;
     table = [];
     manifest = [];
+    verdict = None;
     power_cycles = 0;
   }
 
@@ -54,13 +60,14 @@ let gpio t = t.gpio
 let clock t = t.clock
 
 let install t image =
+  t.verdict <- None;
   Image.flash_all image t.flash;
   t.table <- image.Image.table;
   t.manifest <- Image.manifest image
 
 let partition_table t = t.table
 
-let corrupted_partitions t =
+let check_partitions t =
   List.filter_map
     (fun (name, expected) ->
       match Partition.find t.table name with
@@ -72,9 +79,19 @@ let corrupted_partitions t =
         if Int32.equal actual expected then None else Some name)
     t.manifest
 
+let corrupted_partitions t =
+  let writes = Memory.writes (Flash.mem t.flash) in
+  match t.verdict with
+  | Some (at, corrupted) when at = writes -> corrupted
+  | _ ->
+    let corrupted = check_partitions t in
+    t.verdict <- Some (writes, corrupted);
+    corrupted
+
 let boot_ok t = t.manifest <> [] && corrupted_partitions t = []
 
 let reflash_partition t image name =
+  t.verdict <- None;
   match Image.flash_one image t.flash name with
   | Error _ as e -> e
   | Ok () ->

@@ -51,9 +51,14 @@ val partition_table : t -> Partition.t
 
 val boot_ok : t -> bool
 (** The simulated bootloader's integrity check: every partition CRC must
-    match the manifest recorded at {!install}/reflash time. *)
+    match the manifest recorded at {!install}/reflash time. The board
+    clock is not charged for it. *)
 
 val corrupted_partitions : t -> string list
+(** Partitions whose CRC no longer matches the manifest. The verdict is
+    memoized on the flash's {!Memory.writes} counter, so booting an
+    unchanged image costs no CRC pass; any flash write, {!install} or
+    {!reflash_partition} forces a recheck. *)
 
 val reflash_partition : t -> Image.t -> string -> (unit, string) result
 (** Rewrite one partition from a (golden) image and refresh its manifest

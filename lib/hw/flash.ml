@@ -56,9 +56,7 @@ let write_image t ~addr data =
 
 let read t ~addr ~len = Bytes.unsafe_to_string (Memory.read_bytes t.mem ~addr ~len)
 
-let crc_range t ~addr ~len =
-  let b = Memory.read_bytes t.mem ~addr ~len in
-  Eof_util.Crc32.digest_bytes b ~pos:0 ~len
+let crc_range t ~addr ~len = Memory.crc32 t.mem ~addr ~len
 
 let erase_count t = t.erase_count
 

@@ -38,6 +38,8 @@ val write_image : t -> addr:int -> string -> unit
 val read : t -> addr:int -> len:int -> string
 
 val crc_range : t -> addr:int -> len:int -> int32
+(** CRC-32 of a flash range, computed in place.
+    @raise Fault.Trap if out of range. *)
 
 val erase_count : t -> int
 (** Total sector erases since creation — a cheap wear metric used by the

@@ -17,6 +17,10 @@ type t = {
      resets O(dirty pages) instead of O(region size). *)
   nz : Bytes.t;
   mutable generation : int;
+  (* Bumped by every mutator: a cheap "contents may have changed since"
+     stamp for caches of pure functions of the bytes (the bootloader's
+     integrity verdict, see Board). *)
+  mutable writes : int;
 }
 
 let pages_of_size size = (size + page_size - 1) / page_size
@@ -32,6 +36,7 @@ let create ~base ~size ~endianness =
     stamps = Array.make n_pages 0;
     nz = Bytes.make n_pages '\000';
     generation = 1;
+    writes = 0;
   }
 
 let base t = t.base
@@ -44,12 +49,16 @@ let page_count t = Array.length t.stamps
 
 let generation t = t.generation
 
+let writes t = t.writes
+
 let touch t off =
+  t.writes <- t.writes + 1;
   let p = off lsr page_shift in
   Array.unsafe_set t.stamps p t.generation;
   Bytes.unsafe_set t.nz p '\001'
 
 let touch_range t off len =
+  t.writes <- t.writes + 1;
   if len > 0 then
     for p = off lsr page_shift to (off + len - 1) lsr page_shift do
       Array.unsafe_set t.stamps p t.generation;
@@ -142,6 +151,7 @@ let clear t =
     if Bytes.unsafe_get t.nz p <> '\000' then begin
       Bytes.fill t.data (p lsl page_shift) (page_len t p) '\000';
       (* Content changed, so the page is dirty relative to any snapshot. *)
+      t.writes <- t.writes + 1;
       Array.unsafe_set t.stamps p t.generation;
       Bytes.unsafe_set t.nz p '\000'
     end
@@ -176,6 +186,9 @@ let restore_pages t ~baseline ~since =
       incr copied
     end
   done;
+  if !copied > 0 then t.writes <- t.writes + 1;
   !copied
 
-let unsafe_backing t = t.data
+let crc32 t ~addr ~len =
+  check t addr len;
+  Eof_util.Crc32.digest_bytes t.data ~pos:(addr - t.base) ~len

@@ -79,7 +79,12 @@ val restore_pages : t -> baseline:Bytes.t -> since:int -> int
     snapshot invalidates dirty accounting of snapshots captured later;
     keep one live snapshot per region. *)
 
-val unsafe_backing : t -> Bytes.t
-(** Direct access to the backing store for target-side code that would,
-    on real hardware, access memory without going through the debugger.
-    Offsets into the backing store are [addr - base]. *)
+val writes : t -> int
+(** Monotonic mutation counter. Every [write_*] and {!fill} bumps it, as
+    do {!clear} and {!restore_pages} when they rewrite at least one page,
+    so an unchanged count means unchanged contents: a cache of any pure
+    function of the bytes may key on it. *)
+
+val crc32 : t -> addr:int -> len:int -> int32
+(** CRC-32 of a byte range, computed in place (no copy).
+    @raise Fault.Trap if the range is outside the region. *)

@@ -268,6 +268,51 @@ let test_end_to_end_boot_failure_and_reflash () =
   ok_or_fail (Session.set_breakpoint session syms.Osbuild.sym_executor_main);
   continue_to session syms.Osbuild.sym_executor_main
 
+(* The same boot failure on the native backend, after a first boot has
+   cached an OK integrity verdict: the flash write must invalidate it. *)
+let test_native_boot_failure_and_reflash () =
+  let build = Osbuild.make ~board_profile:Profiles.stm32f4_disco Zephyr.spec in
+  let machine =
+    match Machine.create_native build with
+    | Ok m -> m
+    | Error e -> Alcotest.fail (Eof_util.Eof_error.to_string e)
+  in
+  let syms = Osbuild.syms build in
+  let board = Osbuild.board build in
+  let flash = Board.flash board in
+  let reach_executor () =
+    match ok_or_fail (Machine.continue_ machine) with
+    | Machine.Stopped_breakpoint pc ->
+      Alcotest.(check int) "executor_main" syms.Osbuild.sym_executor_main pc
+    | _ -> Alcotest.fail "expected the executor_main breakpoint"
+  in
+  ok_or_fail (Machine.set_breakpoint machine syms.Osbuild.sym_executor_main);
+  reach_executor ();
+  ignore (ok_or_fail (Machine.drain_uart machine) : string);
+  (* Flip one kernel byte, then reboot. *)
+  let kernel = Option.get (Partition.find (Board.partition_table board) "kernel") in
+  let addr = Flash.base flash + kernel.Partition.offset + 64 in
+  let old = Memory.read_u8 (Flash.mem flash) addr in
+  Flash.corrupt flash ~addr (String.make 1 (Char.chr (old lxor 0xFF)));
+  ok_or_fail (Machine.reset_target machine);
+  let stuck () =
+    match ok_or_fail (Machine.continue_ machine) with
+    | Machine.Stopped_quantum pc -> Alcotest.(check int) "stuck at boot" syms.Osbuild.sym_boot pc
+    | _ -> Alcotest.fail "expected quantum stop at boot"
+  in
+  stuck ();
+  stuck ();
+  let log = ok_or_fail (Machine.drain_uart machine) in
+  Alcotest.(check bool) "bootloader refuses" true (contains ~needle:"image checksum mismatch" log);
+  (* Restoration: reflash the kernel through the backend's flash ops. *)
+  let blob = List.assoc "kernel" (Osbuild.image build).Image.blobs in
+  let kaddr = Flash.base flash + kernel.Partition.offset in
+  ok_or_fail (Machine.flash_erase machine ~addr:kaddr ~len:kernel.Partition.size);
+  ok_or_fail (Machine.flash_write machine ~addr:kaddr blob);
+  ok_or_fail (Machine.flash_done machine);
+  ok_or_fail (Machine.reset_target machine);
+  reach_executor ()
+
 let test_agent_ignores_garbage_mailbox () =
   let machine = make_zephyr () in
   let build = Machine.build machine in
@@ -315,6 +360,7 @@ let suite =
     Alcotest.test_case "e2e coverage collected" `Quick test_end_to_end_coverage_collected;
     Alcotest.test_case "e2e crash flow" `Quick test_end_to_end_crash_flow;
     Alcotest.test_case "e2e boot failure + reflash" `Quick test_end_to_end_boot_failure_and_reflash;
+    Alcotest.test_case "native boot failure + reflash" `Quick test_native_boot_failure_and_reflash;
     Alcotest.test_case "agent ignores garbage mailbox" `Quick test_agent_ignores_garbage_mailbox;
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
   ]

@@ -328,3 +328,172 @@ let suite =
         test_memory_clear_dirty;
       Alcotest.test_case "board snapshot roundtrip" `Quick test_board_snapshot_roundtrip;
     ]
+
+(* --- memoized boot verdict ---------------------------------------------- *)
+
+let test_memory_writes_counter () =
+  let m = mem_le () in
+  let bumps name f =
+    let before = Memory.writes m in
+    f ();
+    Alcotest.(check bool) (name ^ " bumps writes") true (Memory.writes m > before)
+  in
+  bumps "write_u8" (fun () -> Memory.write_u8 m 0x2000_0000 1);
+  bumps "write_u16" (fun () -> Memory.write_u16 m 0x2000_0010 2);
+  bumps "write_u32" (fun () -> Memory.write_u32 m 0x2000_0020 3l);
+  bumps "write_bytes" (fun () -> Memory.write_bytes m ~addr:0x2000_0030 (Bytes.of_string "ab"));
+  bumps "fill" (fun () -> Memory.fill m ~addr:0x2000_0040 ~len:8 'x');
+  let baseline = Memory.baseline m in
+  let since = Memory.mark_generation m in
+  Memory.write_u8 m 0x2000_0100 9;
+  bumps "restore_pages" (fun () -> ignore (Memory.restore_pages m ~baseline ~since : int));
+  let unchanged name f =
+    let before = Memory.writes m in
+    f ();
+    Alcotest.(check int) (name ^ " leaves writes alone") before (Memory.writes m)
+  in
+  (* Reads, and passes that rewrite no page, change nothing. *)
+  unchanged "read_u32" (fun () -> ignore (Memory.read_u32 m 0x2000_0000 : int32));
+  unchanged "crc32" (fun () -> ignore (Memory.crc32 m ~addr:0x2000_0000 ~len:4096 : int32));
+  unchanged "clean restore_pages" (fun () ->
+      ignore (Memory.restore_pages m ~baseline ~since : int));
+  bumps "clear" (fun () -> Memory.clear m);
+  unchanged "clear of a zero region" (fun () -> Memory.clear m)
+
+let test_flash_crc_in_place () =
+  let f = Flash.create ~base:0x0800_0000 ~size:0x2000 ~sector_size:0x1000 ~endianness:Arch.Little in
+  Flash.program f ~addr:0x0800_0100 "firmware";
+  Alcotest.(check int32) "matches a CRC of the copied bytes"
+    (Eof_util.Crc32.digest_string (Flash.read f ~addr:0x0800_00F0 ~len:0x40))
+    (Flash.crc_range f ~addr:0x0800_00F0 ~len:0x40);
+  try
+    ignore (Flash.crc_range f ~addr:0x0800_1FF0 ~len:0x20 : int32);
+    Alcotest.fail "no fault"
+  with Fault.Trap e ->
+    Alcotest.(check bool) "out of range is a bus fault" true (e.Fault.kind = Fault.Bus_fault)
+
+(* Property: however flash bytes, the partition table and the manifest
+   change, the memoized verdict equals an uncached recompute. Two images
+   share one table; [owner] tracks whose manifest entry the board holds
+   for each partition, so the expected verdict is [Image.verify] of that
+   image restricted to that partition. *)
+type flash_op =
+  | Program of int * string
+  | Erase of int * int
+  | Write_image of int * string
+  | Corrupt of int * string
+  | Fill of int * int * char
+  | Write_u8 of int * int
+  | Write_u32 of int * int32
+  | Dirty_and_restore of int * string
+  | Reflash of bool * string
+  | Install of bool
+
+let verdict_table =
+  [
+    { Partition.name = "bootloader"; offset = 0; size = 0x4000 };
+    { Partition.name = "kernel"; offset = 0x4000; size = 0x8000 };
+    { Partition.name = "fs"; offset = 0xC000; size = 0x4000 };
+  ]
+
+let show_flash_op = function
+  | Program (o, s) -> Printf.sprintf "program 0x%x %S" o s
+  | Erase (o, n) -> Printf.sprintf "erase 0x%x+%d" o n
+  | Write_image (o, s) -> Printf.sprintf "write_image 0x%x %S" o s
+  | Corrupt (o, s) -> Printf.sprintf "corrupt 0x%x %S" o s
+  | Fill (o, n, c) -> Printf.sprintf "fill 0x%x+%d %C" o n c
+  | Write_u8 (o, v) -> Printf.sprintf "write_u8 0x%x %d" o v
+  | Write_u32 (o, v) -> Printf.sprintf "write_u32 0x%x %ld" o v
+  | Dirty_and_restore (o, s) -> Printf.sprintf "dirty 0x%x %S + restore" o s
+  | Reflash (b, p) -> Printf.sprintf "reflash %s from %s" p (if b then "B" else "A")
+  | Install b -> Printf.sprintf "install %s" (if b then "B" else "A")
+
+let flash_op_gen =
+  let open QCheck.Gen in
+  (* Offsets reach past the table's 0x10000 bytes so some writes land
+     outside every partition. *)
+  let off = int_bound 0x11FFF in
+  let bytes = string_size ~gen:char (int_range 1 8) in
+  let part = oneofl [ "bootloader"; "kernel"; "fs" ] in
+  frequency
+    [
+      (3, map2 (fun o s -> Program (o, s)) off bytes);
+      (1, map2 (fun o n -> Erase (o, n)) off (int_range 1 64));
+      (1, map2 (fun o s -> Write_image (o, s)) off bytes);
+      (3, map2 (fun o s -> Corrupt (o, s)) off bytes);
+      (2, map3 (fun o n c -> Fill (o, n, c)) off (int_range 1 16) char);
+      (3, map2 (fun o v -> Write_u8 (o, v)) off (int_bound 255));
+      (2, map2 (fun o v -> Write_u32 (o, v)) (int_bound 0x11FFC) (map Int32.of_int int));
+      (2, map2 (fun o s -> Dirty_and_restore (o, s)) off bytes);
+      (2, map2 (fun b p -> Reflash (b, p)) bool part);
+      (1, map (fun b -> Install b) bool);
+    ]
+
+let prop_boot_verdict_cache =
+  QCheck.Test.make ~name:"memoized boot verdict equals a fresh recompute" ~count:60
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_flash_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) flash_op_gen))
+    (fun ops ->
+      let profile = Profiles.stm32f4_disco in
+      let board = Board.create profile in
+      let flash = Board.flash board in
+      let base = profile.Board.flash_base in
+      let image_a = Image.synthesize ~table:verdict_table ~seed:11L () in
+      let image_b = Image.synthesize ~table:verdict_table ~seed:12L () in
+      let pick b = if b then image_b else image_a in
+      Board.install board image_a;
+      let snap = Board.snapshot board in
+      let owner = Hashtbl.create 3 in
+      let own_all img =
+        List.iter (fun (e : Partition.entry) -> Hashtbl.replace owner e.name img) verdict_table
+      in
+      own_all image_a;
+      let expected () =
+        List.filter_map
+          (fun (e : Partition.entry) ->
+            if List.mem e.name (Image.verify (Hashtbl.find owner e.name) flash) then Some e.name
+            else None)
+          verdict_table
+        |> List.sort compare
+      in
+      let apply = function
+        | Program (o, s) -> Flash.program flash ~addr:(base + o) s
+        | Erase (o, n) -> Flash.erase_range flash ~addr:(base + o) ~len:n
+        | Write_image (o, s) -> Flash.write_image flash ~addr:(base + o) s
+        | Corrupt (o, s) -> Flash.corrupt flash ~addr:(base + o) s
+        | Fill (o, n, c) -> Memory.fill (Flash.mem flash) ~addr:(base + o) ~len:n c
+        | Write_u8 (o, v) -> Memory.write_u8 (Flash.mem flash) (base + o) v
+        | Write_u32 (o, v) -> Memory.write_u32 (Flash.mem flash) (base + o) v
+        | Dirty_and_restore (o, s) ->
+          (* The bootloader sees the damage before the rewind, so the
+             restore itself must invalidate that verdict. *)
+          Flash.corrupt flash ~addr:(base + o) s;
+          ignore (Board.boot_ok board : bool);
+          ignore (Board.restore_snapshot board snap : int)
+        | Reflash (b, p) ->
+          (match Board.reflash_partition board (pick b) p with
+           | Ok () -> Hashtbl.replace owner p (pick b)
+           | Error e -> failwith e)
+        | Install b ->
+          Board.install board (pick b);
+          own_all (pick b)
+      in
+      List.for_all
+        (fun op ->
+          (* Consult the bootloader first so a verdict is cached across
+             the mutation. *)
+          ignore (Board.boot_ok board : bool);
+          apply op;
+          let want = expected () in
+          List.sort compare (Board.corrupted_partitions board) = want
+          && Board.boot_ok board = (want = []))
+        ops)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "memory writes counter" `Quick test_memory_writes_counter;
+      Alcotest.test_case "flash crc in place" `Quick test_flash_crc_in_place;
+      QCheck_alcotest.to_alcotest prop_boot_verdict_cache;
+    ]
