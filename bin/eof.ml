@@ -56,25 +56,23 @@ let console_level_of_string s =
 
 let fuzz os seed iterations boards sync_every exec_backend digest
     no_feedback no_dep no_watchdog irq verbose crash_dir save_corpus load_corpus
-    log_level trace_file fault_rate fault_seed reset_policy schedule gen_mode =
+    log_level trace_file fault_rate fault_seed reset_policy schedule =
   match
     (target_of os, console_level_of_string log_level, exec_mode_of_name exec_backend,
      Campaign.reset_policy_of_name reset_policy,
-     Eof_core.Corpus.schedule_of_name schedule, Eof_core.Gen.mode_of_name gen_mode)
+     Eof_core.Corpus.schedule_of_name schedule)
   with
-  | Error e, _, _, _, _, _
-  | _, Error e, _, _, _, _
-  | _, _, Error e, _, _, _
-  | _, _, _, Error e, _, _
-  | _, _, _, _, Error e, _
-  | _, _, _, _, _, Error e ->
+  | Error e, _, _, _, _
+  | _, Error e, _, _, _
+  | _, _, Error e, _, _
+  | _, _, _, Error e, _
+  | _, _, _, _, Error e ->
     prerr_endline e;
     1
   | _ when not (fault_rate >= 0. && fault_rate <= 1.) ->
     prerr_endline "eof fuzz: --fault-rate must be within [0, 1]";
     1
-  | Ok target, Ok console_level, Ok exec_mode, Ok reset_policy, Ok schedule, Ok gen_mode
-    ->
+  | Ok target, Ok console_level, Ok exec_mode, Ok reset_policy, Ok schedule ->
     let obs = Obs.create () in
     (match console_level with
      | Some min_level -> Obs.add_sink obs (Obs.console_sink ~min_level ())
@@ -142,7 +140,6 @@ let fuzz os seed iterations boards sync_every exec_backend digest
         fault_seed = Int64.of_int fault_seed;
         reset_policy;
         schedule;
-        gen_mode;
       }
     in
     if fault_rate > 0. then
@@ -343,21 +340,13 @@ let fuzz_cmd =
                    rare-edge frontier, first picks and crash finds earn \
                    exponentially larger mutation budgets).")
   in
-  let gen_mode =
-    Arg.(value & opt string "interp"
-         & info [ "gen-mode" ] ~docv:"MODE"
-             ~doc:"Generator engine: $(b,interp) walks the specification per \
-                   argument; $(b,compiled) generates through pre-resolved candidate \
-                   sets memoized per API table. Both emit byte-identical programs \
-                   for the same seed — $(b,compiled) is purely faster.")
-  in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run an EOF campaign against a simulated board")
     Term.(
       const fuzz $ os_arg $ seed_arg $ iterations_arg $ boards $ sync_every
       $ exec_backend $ digest $ no_feedback $ no_dep $ no_watchdog
       $ irq $ verbose $ crash_dir $ save_corpus $ load_corpus $ log_level $ trace
-      $ fault_rate $ fault_seed $ reset_policy $ schedule $ gen_mode)
+      $ fault_rate $ fault_seed $ reset_policy $ schedule)
 
 (* --- eof trace ---------------------------------------------------------- *)
 

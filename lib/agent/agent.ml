@@ -21,10 +21,9 @@ let resolve_arg results = function
     let handle = if k >= 0 && k < Array.length results then results.(k) else 0 in
     Api.V_res handle
 
-let execute_program build (inst : Osbuild.instance) program =
+let execute_program build (inst : Osbuild.instance) ~(entries : Api.entry array) program =
   let syms = Osbuild.syms build in
   let ram = Board.ram (Osbuild.board build) in
-  let entries = Array.of_list inst.Osbuild.table.Api.entries in
   let n = List.length program in
   let handles = Array.make n 0 in
   let statuses = Array.make n 0l in
@@ -70,6 +69,8 @@ let entry build () =
   end
   else begin
     let inst = Osbuild.fresh_instance build in
+    (* The table is fixed for the life of the booted instance. *)
+    let entries = Array.of_list inst.Osbuild.table.Api.entries in
     let mailbox = Osbuild.mailbox_base build in
     let rec loop () =
       Target.site syms.Osbuild.sym_executor_main;
@@ -83,7 +84,7 @@ let entry build () =
             same program. *)
          Memory.write_u32 ram mailbox 0l;
          Target.site syms.Osbuild.sym_execute_one;
-         let results = execute_program build inst program in
+         let results = execute_program build inst ~entries program in
          Wire.Results.write ~mem:ram ~endianness ~base:(results_base build) results;
          Target.site syms.Osbuild.sym_loop_back);
       loop ()

@@ -57,7 +57,6 @@ type config = {
   backend : Machine.backend;
   reset_policy : reset_policy;
   schedule : Corpus.schedule;
-  gen_mode : Gen.mode;
 }
 
 let default_config =
@@ -81,7 +80,6 @@ let default_config =
     backend = Machine.Link;
     reset_policy = Ladder;
     schedule = Corpus.Uniform;
-    gen_mode = Gen.Interp;
   }
 
 type sample = { iteration : int; virtual_s : float; coverage : int }
@@ -944,8 +942,7 @@ let init ?machine ?obs config build =
        let obs = match obs with Some o -> o | None -> Machine.obs machine in
        let rng = Rng.create config.seed in
        let gen =
-         Gen.create ~dep_aware:config.dep_aware ~mode:config.gen_mode
-           ~rng:(Rng.split rng) ~spec ~table ()
+         Gen.create ~dep_aware:config.dep_aware ~rng:(Rng.split rng) ~spec ~table ()
        in
        (* The scheduling target is the fuzzed API surface, not the full
           table: an api_filter'd campaign is a different target, so its

@@ -106,10 +106,6 @@ type config = {
           the pre-scheduler corpus: one pick, one mutation). [Energy]
           grants power-schedule mutation budgets judged against the
           campaign target's rare-edge frontier. *)
-  gen_mode : Gen.mode;
-      (** generator engine (default [Interp]). [Compiled] emits
-          byte-identical programs through pre-resolved candidate sets —
-          a pure speedup. *)
 }
 
 val default_config : config

@@ -1,37 +1,39 @@
 open Eof_spec
 module Rng = Eof_util.Rng
 
-type mode = Interp | Compiled
-
-let mode_name = function Interp -> "interp" | Compiled -> "compiled"
-
-let mode_of_name s =
-  match String.lowercase_ascii s with
-  | "interp" -> Ok Interp
-  | "compiled" -> Ok Compiled
-  | other -> Error (Printf.sprintf "unknown gen mode %S (expected interp|compiled)" other)
-
-(* Compiled generation artifact: everything the interpreter re-derives
-   from the spec on every argument — boundary candidate sets,
-   powers-of-two tables, each call's required resource kinds — resolved
-   once per (spec, table). The candidate lists are the exact values the
-   interpreter's walks produce, in the same order, so every RNG draw is
-   identical and compiled generation emits byte-for-byte the same
-   programs per seed. *)
+(* Generation artifact compiled once per spec: boundary and
+   powers-of-two candidate sets per integer range, and per call the
+   resource kinds it consumes and produces as integer kind ids. The
+   candidate lists are exactly what a walk of the spec produces, in the
+   same order, so every RNG draw lands on the same value as a
+   generator that re-derives them per argument. *)
 type int_plan = { boundaries : int64 list; powers : int64 list }
+
+type call_plan = {
+  call : Ast.call;
+  req : int array;  (* distinct kind ids the call's resource arguments consume *)
+  arg_kinds : int array;  (* parallel to [call.args]: kind id of a resource argument, else -1 *)
+  ret_kind : int;  (* kind id the call produces, or -1 *)
+  boost_kind : int;
+      (* [ret_kind] when it is a declared spec resource — producers of
+         still-missing resources get their weight tripled — else -1 *)
+}
 
 type compiled = {
   int_plans : (int64 * int64, int_plan) Hashtbl.t;  (* keyed (min, max) *)
-  req_kinds : string list array;
-      (* parallel to [calls]: distinct resource kinds each call consumes *)
+  kind_ids : (string, int) Hashtbl.t;
+  call_plans : call_plan array;  (* parallel to [spec.calls] *)
 }
 
 type t = {
   rng : Rng.t;
-  spec : Ast.t;
-  calls : (Ast.call * int) array;  (* spec call, api-table index *)
+  compiled : compiled;
+  calls : (call_plan * int) array;  (* call plan, api-table index *)
   dep_aware : bool;
-  plans : compiled option;  (* [Some] iff mode is [Compiled] *)
+  (* [pick_call] scratch: eligible call indices and their weights.
+     Per generator, never in the shared [compiled] artifact. *)
+  cand : int array;
+  cand_w : int array;
   (* Comparison operands harvested from the target's trace_cmp ring:
      the constants kernel code compares fuzz inputs against. *)
   int_hints : (int64, unit) Hashtbl.t;
@@ -79,81 +81,102 @@ let powers_of_two_in min max =
   in
   go [] 1L
 
-(* The interpreter's boundary candidate walk, verbatim: the compiled
-   plan must store exactly this list for the choose_list draw to land on
-   the same value. *)
 let boundary_candidates ~min ~max =
   List.filter
     (fun v -> Int64.compare v min >= 0 && Int64.compare v max <= 0)
     [ min; max; 0L; 1L; Int64.add min 1L; Int64.sub max 1L ]
 
-let compile spec (calls : (Ast.call * int) array) =
+let compile (spec : Ast.t) =
   let int_plans = Hashtbl.create 16 in
-  let note_int ~min ~max =
-    if not (Hashtbl.mem int_plans (min, max)) then
-      Hashtbl.replace int_plans (min, max)
-        { boundaries = boundary_candidates ~min ~max; powers = powers_of_two_in min max }
+  let kind_ids = Hashtbl.create 16 in
+  let kind_id k =
+    match Hashtbl.find_opt kind_ids k with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length kind_ids in
+      Hashtbl.replace kind_ids k id;
+      id
   in
-  List.iter
-    (fun (c : Ast.call) ->
-      List.iter
-        (fun (_, ty) ->
-          match ty with Ast.Ty_int { min; max } -> note_int ~min ~max | _ -> ())
-        c.Ast.args)
-    spec.Ast.calls;
-  let req_kinds =
-    Array.map
-      (fun ((c : Ast.call), _) ->
-        List.filter_map
-          (fun (_, ty) -> match ty with Ast.Ty_res k -> Some k | _ -> None)
-          c.Ast.args
-        |> List.sort_uniq compare)
-      calls
+  List.iter (fun k -> ignore (kind_id k : int)) spec.Ast.resources;
+  let call_plans =
+    Array.of_list
+      (List.map
+         (fun (c : Ast.call) ->
+           let arg_kinds =
+             Array.of_list
+               (List.map
+                  (fun (_, ty) ->
+                    match ty with
+                    | Ast.Ty_int { min; max } ->
+                      if not (Hashtbl.mem int_plans (min, max)) then
+                        Hashtbl.replace int_plans (min, max)
+                          {
+                            boundaries = boundary_candidates ~min ~max;
+                            powers = powers_of_two_in min max;
+                          };
+                      -1
+                    | Ast.Ty_res k -> kind_id k
+                    | _ -> -1)
+                  c.Ast.args)
+           in
+           let req =
+             Array.of_list
+               (List.sort_uniq compare (List.filter (fun k -> k >= 0) (Array.to_list arg_kinds)))
+           in
+           let ret_kind = match c.Ast.ret with Some k -> kind_id k | None -> -1 in
+           let boost_kind =
+             match c.Ast.ret with
+             | Some k when List.mem k spec.Ast.resources -> ret_kind
+             | _ -> -1
+           in
+           { call = c; req; arg_kinds; ret_kind; boost_kind })
+         spec.Ast.calls)
   in
-  { int_plans; req_kinds }
+  { int_plans; kind_ids; call_plans }
 
-(* Compilation is memoized per (spec, table) the way Synth memoizes
-   validated specs: every campaign over the same personality shares one
-   artifact. The key covers the table's entry names because the call
-   array is the spec filtered through the table. The memo is global
-   state in a library an embedder may call from several domains: the
-   artifact is read-only after construction, so sharing it is sound,
-   and the mutex covers racing builds. *)
+(* Compilation is memoized on the spec value itself (physical
+   equality): [Synth.validated_of_api] already memoizes and shares one
+   spec per personality, so every campaign over it reaches the same
+   artifact without rendering anything to build a key. The memo is
+   global state in a library an embedder may call from several domains:
+   the artifact is read-only after construction, so sharing it is
+   sound, and the mutex covers racing builds. *)
 let compiled_lock = Stdlib.Mutex.create ()
 
-let compiled_memo : (string, compiled) Hashtbl.t = Hashtbl.create 8
+let compiled_memo : (Ast.t * compiled) list ref = ref []
 
-let compiled_of ~spec ~(table : Eof_rtos.Api.table) calls =
-  let key =
-    Ast.to_syzlang spec ^ "#"
-    ^ String.concat ","
-        (List.map (fun (e : Eof_rtos.Api.entry) -> e.Eof_rtos.Api.name)
-           table.Eof_rtos.Api.entries)
-  in
+let compiled_of spec =
   Stdlib.Mutex.protect compiled_lock (fun () ->
-      match Hashtbl.find_opt compiled_memo key with
+      match List.assq_opt spec !compiled_memo with
       | Some c -> c
       | None ->
-        if Hashtbl.length compiled_memo >= 32 then Hashtbl.reset compiled_memo;
-        let c = compile spec calls in
-        Hashtbl.replace compiled_memo key c;
+        let c = compile spec in
+        let kept = if List.length !compiled_memo >= 32 then [] else !compiled_memo in
+        compiled_memo := (spec, c) :: kept;
         c)
 
-let create ?(dep_aware = true) ?(mode = Interp) ~rng ~spec ~table () =
-  let calls = Array.of_list (Synth.index_map spec table) in
-  if Array.length calls = 0 then invalid_arg "Gen.create: empty call set";
+let create ?(dep_aware = true) ~rng ~spec ~table () =
+  let compiled = compiled_of spec in
+  let plan_of call = Array.find_opt (fun p -> p.call == call) compiled.call_plans in
+  let calls =
+    Array.of_list
+      (List.filter_map
+         (fun (call, idx) -> Option.map (fun p -> (p, idx)) (plan_of call))
+         (Synth.index_map spec table))
+  in
+  let n = Array.length calls in
+  if n = 0 then invalid_arg "Gen.create: empty call set";
   {
     rng;
-    spec;
+    compiled;
     calls;
     dep_aware;
-    plans = (match mode with Interp -> None | Compiled -> Some (compiled_of ~spec ~table calls));
+    cand = Array.make n 0;
+    cand_w = Array.make n 0;
     int_hints = Hashtbl.create 128;
     hint_list = [||];
     hints_dirty = false;
   }
-
-let mode t = match t.plans with None -> Interp | Some _ -> Compiled
 
 let add_int_hint t v =
   if Hashtbl.length t.int_hints < max_hints && not (Hashtbl.mem t.int_hints v) then begin
@@ -172,14 +195,9 @@ let hints t =
 
 let dep_aware t = t.dep_aware
 
-(* Compiled plan lookup for an int range; [None] means interpret (the
-   range always comes from a spec type, so compiled lookups only miss
-   for ranges outside this spec's tables — recompute then, identical
-   lists either way). *)
-let int_plan_of t ~min ~max =
-  match t.plans with
-  | Some p -> Hashtbl.find_opt p.int_plans (min, max)
-  | None -> None
+(* [None] only for a range outside this spec (a type handed in from
+   elsewhere): the walk then recomputes the identical lists. *)
+let int_plan_of t ~min ~max = Hashtbl.find_opt t.compiled.int_plans (min, max)
 
 let gen_int t ~min ~max =
   let rng = t.rng in
@@ -255,6 +273,17 @@ let gen_flags t flags =
   in
   if Rng.chance rng 0.1 then 0L else v
 
+(* A resource argument given the ascending positions of earlier
+   producers of its kind. *)
+let gen_res t = function
+  | [] -> Prog.Int 0L (* no producer: degrade to a bogus handle *)
+  | ps ->
+    (* Bias toward the most recent instance, as handwritten test cases
+       do. *)
+    let ps = List.rev ps in
+    let idx = if Rng.chance t.rng 0.6 then List.hd ps else Rng.choose_list t.rng ps in
+    Prog.Res idx
+
 let gen_value t ~produced ty =
   match ty with
   | Ast.Ty_int { min; max } -> Prog.Int (gen_int t ~min ~max)
@@ -272,109 +301,89 @@ let gen_value t ~produced ty =
       | _ -> Int64.logand (Rng.next64 t.rng) 0xFFFFFFFFL
     in
     Prog.Int v
-  | Ast.Ty_res kind ->
-    (match produced kind with
-     | [] -> Prog.Int 0L (* no producer: degrade to a bogus handle *)
-     | ps ->
-       (* Bias toward the most recent instance, as handwritten test
-          cases do. *)
-       let ps = List.rev ps in
-       let idx = if Rng.chance t.rng 0.6 then List.hd ps else Rng.choose_list t.rng ps in
-       Prog.Res idx)
+  | Ast.Ty_res kind -> gen_res t (produced kind)
 
-let satisfiable produced (call : Ast.call) =
-  List.for_all
-    (fun (_, ty) -> match ty with Ast.Ty_res kind -> produced kind <> [] | _ -> true)
-    call.Ast.args
+(* Per-kind-id ascending positions of the calls in [calls] producing
+   that kind; kinds outside this spec cannot be consumed by any of its
+   calls and are skipped. *)
+let producers_of_calls t (calls : Prog.call list) =
+  let producers = Array.make (Hashtbl.length t.compiled.kind_ids) [] in
+  List.iteri
+    (fun pos (c : Prog.call) ->
+      match c.Prog.spec.Ast.ret with
+      | Some kind ->
+        (match Hashtbl.find_opt t.compiled.kind_ids kind with
+         | Some k -> producers.(k) <- pos :: producers.(k)
+         | None -> ())
+      | None -> ())
+    calls;
+  Array.map_inplace List.rev producers;
+  producers
 
-let has_res_args (call : Ast.call) =
-  List.exists (fun (_, ty) -> match ty with Ast.Ty_res _ -> true | _ -> false) call.Ast.args
+let produced producers k = match producers.(k) with [] -> false | _ :: _ -> true
 
-let missing_kinds t produced =
-  List.filter (fun kind -> produced kind = []) t.spec.Ast.resources
+let rec all_produced producers req j =
+  j >= Array.length req || (produced producers req.(j) && all_produced producers req (j + 1))
 
-let pick_call t ~pos ~produced =
-  let missing = missing_kinds t produced in
-  let candidates =
-    match t.plans with
-    | Some p when t.dep_aware ->
-      (* Compiled: each call's required kinds were resolved at compile
-         time, so satisfiability is a lookup instead of an argument
-         walk. Candidate order, weights and the single weighted draw are
-         identical to the interpreted path. *)
-      let acc = ref [] in
-      Array.iteri
-        (fun i ((call : Ast.call), idx) ->
-          if List.for_all (fun kind -> produced kind <> []) p.req_kinds.(i) then begin
-            let boost =
-              match call.Ast.ret with
-              | Some kind when List.mem kind missing -> 3
-              | _ -> 1
-            in
-            acc := ((call, idx), call.Ast.weight * boost) :: !acc
-          end)
-        t.calls;
-      List.rev !acc
-    | _ ->
-      Array.to_list t.calls
-      |> List.filter_map (fun (call, idx) ->
-             if t.dep_aware then
-               if satisfiable produced call then
-                 let boost =
-                   match call.Ast.ret with
-                   | Some kind when List.mem kind missing -> 3
-                   | _ -> 1
-                 in
-                 Some ((call, idx), call.Ast.weight * boost)
-               else None
-             else if pos = 0 && has_res_args call then None
-               (* even blind generation cannot emit a backward reference
-                  from the first call; the wire format forbids it *)
-             else Some ((call, idx), call.Ast.weight))
-  in
-  match candidates with
-  | [] -> None
-  | cs -> Some (Rng.weighted t.rng cs)
+(* One weighted draw over the calls eligible at [pos], in call order,
+   given the per-program producer positions per kind id. Dependency-
+   aware, a call is eligible once every kind it consumes is produced,
+   and a producer of a still-missing spec resource weighs triple;
+   blind, only a first call cannot carry a resource argument (the wire
+   format forbids the backward reference). Returns an index into
+   [t.calls]. *)
+let pick_call t ~pos ~producers =
+  let n = ref 0 in
+  for i = 0 to Array.length t.calls - 1 do
+    let p, _ = t.calls.(i) in
+    let eligible =
+      if t.dep_aware then all_produced producers p.req 0
+      else not (pos = 0 && Array.length p.req > 0)
+    in
+    if eligible then begin
+      let boost =
+        if t.dep_aware && p.boost_kind >= 0 && not (produced producers p.boost_kind) then 3
+        else 1
+      in
+      t.cand.(!n) <- i;
+      t.cand_w.(!n) <- p.call.Ast.weight * boost;
+      incr n
+    end
+  done;
+  if !n = 0 then None else Some t.cand.(Rng.weighted_index t.rng t.cand_w ~len:!n)
 
-let gen_args t ~pos ~produced (call : Ast.call) =
-  List.map
-    (fun (_, ty) ->
+let gen_args t ~pos ~producers (p : call_plan) =
+  List.mapi
+    (fun i (_, ty) ->
       match ty with
-      | Ast.Ty_res kind when not t.dep_aware ->
-        (* Blind mode: reference an arbitrary earlier call, usually of
-           the wrong kind. *)
-        ignore kind;
-        if pos = 0 then Prog.Int 0L else Prog.Res (Rng.int t.rng pos)
-      | ty -> gen_value t ~produced ty)
-    call.Ast.args
+      | Ast.Ty_res _ ->
+        if t.dep_aware then gen_res t producers.(p.arg_kinds.(i))
+        else if pos = 0 then Prog.Int 0L
+        else
+          (* Blind mode: reference an arbitrary earlier call, usually
+             of the wrong kind. *)
+          Prog.Res (Rng.int t.rng pos)
+      | ty -> gen_value t ~produced:(fun _ -> []) ty)
+    p.call.Ast.args
+
+let emit t ~pos ~producers i =
+  let p, api_index = t.calls.(i) in
+  { Prog.spec = p.call; api_index; args = gen_args t ~pos ~producers p }
 
 let generate t ~max_len =
   let target = 1 + Rng.int t.rng (max max_len 1) in
+  (* Producer positions per kind id, appended as calls are emitted. *)
+  let producers = Array.make (Hashtbl.length t.compiled.kind_ids) [] in
   let acc = ref [] in
   let n = ref 0 in
-  (* Compiled: producer positions tracked incrementally per kind —
-     appended as calls are emitted — instead of rescanning the whole
-     prefix (O(n^2) over program length) on every resource argument.
-     Both paths yield the same ascending position lists, so the RNG
-     stream is untouched. *)
-  let producers : (string, int list) Hashtbl.t = Hashtbl.create 8 in
-  let produced =
-    match t.plans with
-    | Some _ ->
-      fun kind ->
-        (match Hashtbl.find_opt producers kind with Some ps -> ps | None -> [])
-    | None -> fun kind -> Prog.producers_of (List.rev !acc) kind
-  in
   for pos = 0 to target - 1 do
-    match pick_call t ~pos ~produced with
+    match pick_call t ~pos ~producers with
     | None -> ()
-    | Some (call, idx) ->
-      let args = gen_args t ~pos ~produced call in
-      acc := { Prog.spec = call; api_index = idx; args } :: !acc;
-      (match call.Ast.ret with
-       | Some kind when Option.is_some t.plans ->
-         Hashtbl.replace producers kind (produced kind @ [ !n ])
-       | _ -> ());
+    | Some i ->
+      let call = emit t ~pos ~producers i in
+      acc := call :: !acc;
+      let k = (fst t.calls.(i)).ret_kind in
+      if k >= 0 then producers.(k) <- producers.(k) @ [ !n ];
       incr n
   done;
   List.rev !acc
@@ -493,12 +502,11 @@ let insert_call t (prog : Prog.t) ~max_len =
     let pos = Rng.int t.rng (List.length prog + 1) in
     let prefix = List.filteri (fun i _ -> i < pos) prog in
     let suffix = List.filteri (fun i _ -> i >= pos) prog in
-    let produced kind = Prog.producers_of prefix kind in
-    match pick_call t ~pos ~produced with
+    let producers = producers_of_calls t prefix in
+    match pick_call t ~pos ~producers with
     | None -> prog
-    | Some (call, idx) ->
-      let args = gen_args t ~pos ~produced call in
-      let inserted = { Prog.spec = call; api_index = idx; args } in
+    | Some i ->
+      let inserted = emit t ~pos ~producers i in
       (* Shift references in the suffix past the insertion point. *)
       let suffix =
         List.map

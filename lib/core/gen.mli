@@ -19,26 +19,17 @@ open Eof_spec
 
 type t
 
-type mode =
-  | Interp  (** walk the spec on every argument, as always *)
-  | Compiled
-      (** generate through a compiled artifact: pre-resolved boundary and
-          powers-of-two candidate sets per integer range, per-call
-          required-resource-kind lists, and incremental producer tracking
-          instead of per-argument prefix rescans. Memoized per
-          (spec, table). Emits byte-identical programs to [Interp] for
-          the same seed — only faster. *)
-
-val mode_name : mode -> string
-
-val mode_of_name : string -> (mode, string) result
-
 val create :
-  ?dep_aware:bool -> ?mode:mode -> rng:Eof_util.Rng.t -> spec:Ast.t ->
-  table:Eof_rtos.Api.table -> unit -> t
-(** [mode] defaults to [Interp]. *)
-
-val mode : t -> mode
+  ?dep_aware:bool -> rng:Eof_util.Rng.t -> spec:Ast.t -> table:Eof_rtos.Api.table -> unit -> t
+(** Generation runs through an artifact compiled once per spec value
+    (memoized on physical equality, so campaigns sharing the spec
+    {!Eof_spec.Synth.validated_of_api} returns share it): pre-resolved
+    boundary and powers-of-two candidate sets per integer range, and
+    each call's consumed and produced resource kinds as integer ids.
+    Call choice is then one pass over the table with no string hashing
+    and one weighted draw; the artifact holds exactly the candidate
+    lists a per-argument walk of the spec would build, so the RNG
+    stream — and every program — is what that walk would emit. *)
 
 val dep_aware : t -> bool
 

@@ -121,4 +121,5 @@ val header_bytes : int
 
 val version : int
 (** Current wire version (v4 added the worker lifecycle messages and
-    lease epochs). Decoding any other version is [Bad_version]. *)
+    lease epochs; v5 dropped the generator-engine byte). Decoding any other
+    version is [Bad_version]. *)

@@ -215,7 +215,7 @@ let install (ctx : Osbuild.ctx) =
     let svc = { svc_handle = 0; svc_deleted = false } in
     let obj = Kobj.register reg ~kind:"service" ~name:"rtsvc" (Service svc) in
     let svc = { svc with svc_handle = obj.Kobj.handle } in
-    obj.Kobj.payload <- Service svc;
+    Kobj.set_payload obj (Service svc);
     services := svc :: !services;
     Api.created ~kind:"service" ~handle:obj.Kobj.handle
   in
@@ -324,7 +324,7 @@ let install (ctx : Osbuild.ctx) =
          header, and the name-table update's heap walk then trips over
          the scribbled magic. *)
       Memory.write_bytes ram ~addr (Bytes.of_string name);
-      obj.Kobj.name <- name;
+      Kobj.rename obj name;
       Instr.edge i_smem 3;
       ignore (Heap.used_bytes heap : int);
       Api.ok_status
@@ -566,10 +566,10 @@ let install (ctx : Osbuild.ctx) =
     let callback () =
       if allocating then malloc_from_timer ()
       else
-        match Kobj.of_kind reg "event" with
-        | obj :: _ ->
+        match Kobj.oldest_active reg ~kind:"event" with
+        | Some obj ->
           (match Event.of_obj obj with Some e -> Event.send e 0x8000 | None -> ())
-        | [] -> ()
+        | None -> ()
     in
     let* obj =
       Swtimer.create ~reg ~wheel:ctx.wheel ~name:"rttimer"

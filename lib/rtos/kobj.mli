@@ -12,13 +12,16 @@ type state = Active | Detached | Deleted
 type payload = ..
 (** Extended by each kernel-object module with its state record. *)
 
-type obj = {
+type obj = private {
   handle : int;
   kind : string;
   mutable name : string;
   mutable state : state;
   mutable payload : payload;
 }
+(** Private so that only {!detach} and {!delete} change [state]: an
+    object never returns to [Active], which is what lets
+    {!oldest_active} keep a forward-only cursor per kind. *)
 
 type t
 
@@ -38,13 +41,20 @@ val detach : obj -> unit
 
 val delete : obj -> unit
 
+val rename : obj -> string -> unit
+
+val set_payload : obj -> payload -> unit
+
 val active_count : t -> int
 
 val total_count : t -> int
 
 val iter_active : t -> (obj -> unit) -> unit
 
-val of_kind : t -> string -> obj list
-(** Active objects of a kind, oldest first. *)
+val oldest_active : t -> kind:string -> obj option
+(** The lowest-handle [Active] object of [kind]: what a timer callback,
+    work item or worker task locates as "the" semaphore or event group.
+    Amortized O(1): a per-kind handle-ordered index with a cursor that
+    only moves past objects that have left [Active]. *)
 
 val state_name : state -> string

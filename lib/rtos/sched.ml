@@ -50,7 +50,7 @@ let spawn t ~name ~priority ~stack_size ~body =
     let obj = Kobj.register t.reg ~kind:"task" ~name (Task tcb) in
     (* Rebuild with the real handle now that the registry assigned one. *)
     let tcb = { tcb with id = obj.Kobj.handle } in
-    obj.Kobj.payload <- Task tcb;
+    Kobj.set_payload obj (Task tcb);
     (* Reap finished TCBs so the table reflects live tasks only. *)
     t.tasks <- (tcb, body) :: List.filter (fun (x, _) -> x.state <> Finished) t.tasks;
     Ok obj

@@ -84,6 +84,19 @@ let weighted t items =
   in
   go 0 items
 
+let weighted_index t weights ~len =
+  let total = ref 0 in
+  for i = 0 to len - 1 do
+    total := !total + max 0 weights.(i)
+  done;
+  if !total <= 0 then invalid_arg "Rng.weighted_index: total weight must be positive";
+  let target = int t !total in
+  let rec go i acc =
+    let acc = acc + max 0 weights.(i) in
+    if target < acc then i else go (i + 1) acc
+  in
+  go 0 0
+
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

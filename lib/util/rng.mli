@@ -54,6 +54,12 @@ val weighted : t -> ('a * int) list -> 'a
 (** [weighted t items] picks proportionally to the (positive) weights.
     @raise Invalid_argument if the total weight is not positive. *)
 
+val weighted_index : t -> int array -> len:int -> int
+(** [weighted_index t weights ~len] is {!weighted} over the first [len]
+    weights, returning the chosen index: the same single [int] draw, so
+    an array-based caller replays a list-based one exactly.
+    @raise Invalid_argument if the total weight is not positive. *)
+
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle. *)
 

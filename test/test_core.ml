@@ -1315,33 +1315,57 @@ let test_transplant_deterministic () =
       | _ -> Alcotest.fail "retype nondeterministic accept/reject")
     (seed_progs 30 14L)
 
-let test_compiled_equals_interp () =
-  (* The compiled generator pre-resolves candidate sets but must draw
-     from the RNG identically: same seed, byte-identical program
-     streams, generation and mutation both. *)
+(* Program streams pinned to digests recorded from the interpreting
+   generator this compiled one replaced: per seed, the MD5 of the
+   length-prefixed wire encodings of 40 generated programs and of one
+   mutation of each. Any drift in the RNG draw order — candidate order,
+   weights, the single weighted draw, argument plans — moves a digest,
+   and with it every campaign's replayability. *)
+let test_generator_streams_golden () =
   let _, table, spec = Lazy.force zephyr_env in
-  let stream mode seed =
-    let gen =
-      Gen.create ~dep_aware:true ~mode ~rng:(Eof_util.Rng.create seed) ~spec ~table ()
-    in
-    let progs = List.init 40 (fun i -> Gen.generate gen ~max_len:(2 + (i mod 10))) in
-    let mutated =
-      List.map (fun p -> Gen.mutate gen p ~max_len:12) progs
-    in
+  let digest progs =
     List.map
       (fun p ->
         match Eof_agent.Wire.encode ~endianness:Eof_hw.Arch.Little (Prog.to_wire p) with
-        | Ok s -> s
+        | Ok s -> Printf.sprintf "%d:%s" (String.length s) s
         | Error e -> Alcotest.fail ("wire: " ^ e))
-      (progs @ mutated)
+      progs
+    |> String.concat "" |> Digest.string |> Digest.to_hex
   in
   List.iter
-    (fun seed ->
-      let i = stream Gen.Interp seed and c = stream Gen.Compiled seed in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %Ld streams byte-identical" seed)
-        true (i = c))
-    [ 1L; 2L; 3L; 17L; 99L; 12345L ]
+    (fun (seed, dep_aware, want_gen, want_mut) ->
+      let gen = Gen.create ~dep_aware ~rng:(Eof_util.Rng.create seed) ~spec ~table () in
+      let progs = List.init 40 (fun i -> Gen.generate gen ~max_len:(2 + (i mod 10))) in
+      let mutated = List.map (fun p -> Gen.mutate gen p ~max_len:12) progs in
+      let name what = Printf.sprintf "seed %Ld dep_aware=%b %s stream" seed dep_aware what in
+      Alcotest.(check string) (name "generate") want_gen (digest progs);
+      Alcotest.(check string) (name "mutate") want_mut (digest mutated))
+    [
+      (1L, true, "eaff8ca48dbe872cb2dc471ed11d93e4",
+       "70a9ad9c6842039ae56d28e9667a5164");
+      (2L, true, "c2d6f2d3fb65c51ba5ae1b873f2f1583",
+       "d5cd288c1db981ab7f61a97f998b2b26");
+      (3L, true, "62db93b030ed387247a3effe2f3bd08f",
+       "c2f691dacbb16596a240122d7e42cc97");
+      (17L, true, "d7e3ca5378a21d4bc192e120c7cc4b52",
+       "bae55f7fd8a0b46ac081151f202e5c0e");
+      (99L, true, "606b34e988931335a9dde8028332a21c",
+       "2481f7fcb7fc120a29aceaaa50de588b");
+      (12345L, true, "0719c59ebd8aa1d21821f8b415f06fcb",
+       "5cb35c7e722a9823c53492e730605004");
+      (1L, false, "14b74d72c10c66ac5111ded4f867ce69",
+       "1f95ef232c37dd373fb82aa33698edb6");
+      (2L, false, "a5430fe2d00892d0df6095826e29a9bd",
+       "f93db28650348d9a79d795522c72642e");
+      (3L, false, "7202e21d75d4f5d16bda6ed0b7d4c747",
+       "b747633b025f739bd55066fd24c1f4b1");
+      (17L, false, "7fa71520bb43f814b5c226f74a0b6156",
+       "785c980d6b60f61fb3acd89942f12976");
+      (99L, false, "41379c434457f3fbb3bb81cce1ace2c7",
+       "06d9c0461d9745f04d01b0a4cac445a6");
+      (12345L, false, "b65dc6198f1dded3d235ef45e1d7aca1",
+       "684ff2250156f9ac0884a6c501db2c0e")
+    ]
 
 let test_energy_campaign_deterministic () =
   let build, _, _ = Lazy.force zephyr_env in
@@ -1352,7 +1376,6 @@ let test_energy_campaign_deterministic () =
         iterations = 150;
         seed = 21L;
         schedule = Corpus.Energy;
-        gen_mode = Gen.Compiled;
       }
     in
     match Campaign.run config build with
@@ -1365,7 +1388,7 @@ let test_energy_campaign_deterministic () =
         Eof_util.Bitset.to_list o.Campaign.coverage_bitmap )
   in
   let a = run () and b = run () in
-  Alcotest.(check bool) "energy+compiled campaign deterministic" true (a = b);
+  Alcotest.(check bool) "energy campaign deterministic" true (a = b);
   let cov, _, ex, _, _ = a in
   Alcotest.(check int) "ran the full budget" 150 ex;
   Alcotest.(check bool) "found coverage" true (cov > 0)
@@ -1383,7 +1406,7 @@ let suite =
       Alcotest.test_case "transplant round-trip stable" `Quick
         test_transplant_roundtrip_stable;
       Alcotest.test_case "transplant deterministic" `Quick test_transplant_deterministic;
-      Alcotest.test_case "compiled equals interp" `Quick test_compiled_equals_interp;
+      Alcotest.test_case "generator streams golden" `Quick test_generator_streams_golden;
       Alcotest.test_case "energy campaign deterministic" `Quick
         test_energy_campaign_deterministic;
     ]

@@ -70,7 +70,6 @@ let every_kind =
         backend = Eof_agent.Machine.Native;
         reset_policy = Eof_core.Campaign.Snapshot;
         schedule = Eof_core.Corpus.Energy;
-        gen_mode = Eof_core.Gen.Compiled;
       };
     Protocol.Corpus_push
       { campaign = 3; shard = 0; epoch = 1; progs = [ "\x00\x01\xffwire"; "" ] };
@@ -132,6 +131,7 @@ let every_kind =
   ]
 
 let test_codec_roundtrip () =
+  Alcotest.(check int) "wire version" 5 Protocol.version;
   List.iter
     (fun msg ->
       match Protocol.decode (Protocol.encode msg) with
@@ -180,17 +180,20 @@ let test_codec_rejections () =
   (match Protocol.decode (frame ^ "\x00") with
   | Error (Protocol.Malformed _) -> ()
   | _ -> Alcotest.fail "trailing byte accepted");
-  (* future version: patch the version field and re-sign the frame, so
-     only the version check can object *)
-  let future = Bytes.of_string frame in
-  Bytes.set future 4 (Char.chr (Protocol.version + 1));
-  let crc =
-    Crc32.digest_string (Bytes.sub_string future 4 (Bytes.length future - 8))
-  in
-  Bytes.set_int32_le future (Bytes.length future - 4) crc;
-  check_error "future version"
-    (Protocol.Bad_version (Protocol.version + 1))
-    (Protocol.decode (Bytes.to_string future))
+  (* other versions: patch the version field and re-sign the frame, so
+     only the version check can object — a future one, and v4, whose
+     tenant configs and shard assignments still carried a
+     generator-engine byte *)
+  List.iter
+    (fun (name, v) ->
+      let patched = Bytes.of_string frame in
+      Bytes.set patched 4 (Char.chr v);
+      let crc =
+        Crc32.digest_string (Bytes.sub_string patched 4 (Bytes.length patched - 8))
+      in
+      Bytes.set_int32_le patched (Bytes.length patched - 4) crc;
+      check_error name (Protocol.Bad_version v) (Protocol.decode (Bytes.to_string patched)))
+    [ ("future version", Protocol.version + 1); ("v4 frame", 4) ]
 
 (* Adversarial input sweep: seeded random bytes through [frame_size] and
    [decode] — pure noise, noise behind a genuine magic, and re-signed

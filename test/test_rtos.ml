@@ -578,3 +578,39 @@ let test_workq_semantics () =
   Alcotest.(check int) "drained dry" 0 (Workq.drain_tick wq)
 
 let suite = suite @ [ Alcotest.test_case "workq semantics" `Quick test_workq_semantics ]
+
+(* Property: the per-kind index answers exactly what a full registry
+   walk would — fold over every object, keep the active ones of the
+   kind, sort by handle, take the head — after every step of a random
+   register/detach/delete sequence over several kinds, including
+   detaching or deleting an object twice or out of handle order. *)
+type Kobj.payload += Probe
+
+let prop_oldest_active_matches_walk =
+  let kinds = [| "sem"; "event"; "msgq"; "timer" |] in
+  QCheck.Test.make ~name:"kobj oldest_active matches a registry walk" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 60) (triple (int_bound 2) (int_bound 3) (int_bound 63)))
+    (fun ops ->
+      let reg = Kobj.create () in
+      let objs = ref [||] in
+      let walk kind =
+        let active = ref [] in
+        Kobj.iter_active reg (fun o -> if o.Kobj.kind = kind then active := o :: !active);
+        match List.sort (fun a b -> compare a.Kobj.handle b.Kobj.handle) !active with
+        | o :: _ -> Some o.Kobj.handle
+        | [] -> None
+      in
+      List.for_all
+        (fun (op, k, target) ->
+          (match op with
+           | 0 -> objs := Array.append !objs [| Kobj.register reg ~kind:kinds.(k) ~name:"p" Probe |]
+           | _ when Array.length !objs = 0 -> ()
+           | 1 -> Kobj.detach !objs.(target mod Array.length !objs)
+           | _ -> Kobj.delete !objs.(target mod Array.length !objs));
+          Array.for_all
+            (fun kind ->
+              Option.map (fun o -> o.Kobj.handle) (Kobj.oldest_active reg ~kind) = walk kind)
+            kinds)
+        ops)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_oldest_active_matches_walk ]
